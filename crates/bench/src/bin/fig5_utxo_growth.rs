@@ -146,7 +146,8 @@ fn main() {
     let mut bytes_series = Series::new("state_bytes_vs_block(sim_scale)");
     for height in 0..args.blocks {
         let (txs, _) = generator.next_block();
-        if let Err(error) = set.try_ingest_block(&txs, height, &mut meter, &mut breakdown) {
+        let txids: Vec<_> = txs.iter().map(|tx| tx.txid()).collect();
+        if let Err(error) = set.try_ingest_block(&txs, &txids, height, &mut meter, &mut breakdown) {
             eprintln!("error: storage budget exhausted at height {height}: {error}");
             std::process::exit(3);
         }

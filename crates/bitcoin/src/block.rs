@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::encode::{decode_list, encode_list, Decodable, DecodeError, Encodable, Reader};
-use crate::hash::{sha256d, BlockHash, MerkleRoot};
+use crate::hash::{sha256d, BlockHash, MerkleRoot, Txid};
 use crate::pow::{CompactTarget, Work};
 use crate::tx::Transaction;
 use crate::u256::U256;
@@ -95,7 +95,7 @@ impl fmt::Display for BlockHeader {
 /// Follows Bitcoin's rule of duplicating the last node at odd levels; the
 /// root over an empty list is defined as all-zero (only used for sanity
 /// checks — real blocks always have a coinbase).
-pub fn merkle_root(txids: &[crate::hash::Txid]) -> MerkleRoot {
+pub fn merkle_root(txids: &[Txid]) -> MerkleRoot {
     if txids.is_empty() {
         return MerkleRoot::ZERO;
     }
@@ -130,15 +130,9 @@ impl Block {
         self.header.block_hash()
     }
 
-    /// Recomputes the Merkle root over `txdata`.
-    pub fn compute_merkle_root(&self) -> MerkleRoot {
-        let txids: Vec<_> = self.txdata.iter().map(|t| t.txid()).collect();
-        merkle_root(&txids)
-    }
-
-    /// Returns `true` if the header's Merkle root matches the transactions.
-    pub fn check_merkle_root(&self) -> bool {
-        self.header.merkle_root == self.compute_merkle_root()
+    /// The txid of every transaction, in block order.
+    pub fn txids(&self) -> Vec<Txid> {
+        self.txdata.iter().map(Transaction::txid).collect()
     }
 
     /// Structural well-formedness: at least one transaction, the first (and
@@ -147,13 +141,20 @@ impl Block {
     /// (§III-B / §III-C); transaction *spend* validity is deliberately not
     /// checked, as in the paper.
     pub fn is_well_formed(&self) -> bool {
+        self.is_well_formed_with_txids(&self.txids())
+    }
+
+    /// [`Block::is_well_formed`] against precomputed `txids` (which must
+    /// be [`Block::txids`]), so a caller that keeps the txids hashes each
+    /// transaction once.
+    pub fn is_well_formed_with_txids(&self, txids: &[Txid]) -> bool {
         if self.txdata.is_empty() || !self.txdata[0].is_coinbase() {
             return false;
         }
         if self.txdata[1..].iter().any(Transaction::is_coinbase) {
             return false;
         }
-        self.check_merkle_root()
+        self.header.merkle_root == merkle_root(txids)
     }
 
     /// Total serialized size in bytes.
@@ -250,7 +251,7 @@ mod tests {
         // A second coinbase is malformed even with a fixed-up merkle root.
         let mut two_cb = genesis.clone();
         two_cb.txdata.push(coinbase());
-        two_cb.header.merkle_root = two_cb.compute_merkle_root();
+        two_cb.header.merkle_root = merkle_root(&two_cb.txids());
         assert!(!two_cb.is_well_formed());
     }
 

@@ -203,28 +203,35 @@ fn after_cursor(utxo: &Utxo, cursor: Option<(u64, OutPoint)>) -> bool {
 
 /// The unstable-region view for one address under a confirmation
 /// requirement: the UTXOs the considered unstable blocks *create* for
-/// the address (net of in-region spends, in pagination order) plus every
-/// outpoint those blocks *spend* (stable entries must be masked by it).
+/// the address (net of in-region spends, in pagination order) plus the
+/// ingest-time spent sets of those blocks (stable entries must be masked
+/// by them).
 ///
 /// Its size — and the cost of building it — is bounded by the δ unstable
 /// blocks, independent of how many stable UTXOs the address owns.
-struct UnstableOverlay {
+struct UnstableOverlay<'a> {
     created: Vec<Utxo>,
-    spent: BTreeSet<OutPoint>,
+    spent: Vec<&'a BTreeSet<OutPoint>>,
     tip_hash: BlockHash,
     tip_height: u64,
+}
+
+/// Whether any considered block spends `outpoint`.
+fn is_spent(spent: &[&BTreeSet<OutPoint>], outpoint: &OutPoint) -> bool {
+    spent.iter().any(|set| set.contains(outpoint))
 }
 
 impl BitcoinCanisterState {
     /// Builds the [`UnstableOverlay`] of `address` by walking the best
     /// chain above the anchor, stopping at the first block that misses
-    /// the confirmation requirement (or whose body is absent).
+    /// the confirmation requirement (or whose body is absent). Reads the
+    /// txids and spent sets each block was indexed with at ingest.
     fn unstable_overlay(
         &self,
         address: &Address,
         min_confirmations: u32,
         meter: &mut Meter,
-    ) -> Result<UnstableOverlay, ApiError> {
+    ) -> Result<UnstableOverlay<'_>, ApiError> {
         let delta = self.params().stability_delta;
         if min_confirmations as u64 > delta {
             return Err(ApiError::MinConfirmationsTooLarge {
@@ -235,29 +242,22 @@ impl BitcoinCanisterState {
 
         let script = address.script_pubkey();
         let tree = self.tree();
-        let best = tree.best_chain();
         let mut overlay = UnstableOverlay {
             created: Vec::new(),
-            spent: BTreeSet::new(),
+            spent: Vec::new(),
             tip_hash: tree.root(),
             tip_height: self.anchor_height(),
         };
-        for (i, hash) in best.iter().enumerate().skip(1) {
+        for (i, hash) in self.best_chain().iter().enumerate().skip(1) {
             if min_confirmations > 0
                 && !tree.is_confirmation_stable(hash, min_confirmations as u64)
             {
                 break;
             }
-            let Some(block) = self.block(hash) else { break };
+            let Some(entry) = self.unstable_block(hash) else { break };
             meter.charge(metering::UNSTABLE_BLOCK_SCAN);
             let height = self.anchor_height() + i as u64;
-            for tx in &block.txdata {
-                let txid = tx.txid();
-                if !tx.is_coinbase() {
-                    for input in &tx.inputs {
-                        overlay.spent.insert(input.previous_output);
-                    }
-                }
+            for (tx, &txid) in entry.block.txdata.iter().zip(&entry.txids) {
                 for (vout, output) in tx.outputs.iter().enumerate() {
                     if output.script_pubkey == script {
                         meter.charge(metering::UNSTABLE_UTXO_FETCH);
@@ -269,12 +269,13 @@ impl BitcoinCanisterState {
                     }
                 }
             }
+            overlay.spent.push(&entry.spent);
             overlay.tip_hash = *hash;
             overlay.tip_height = height;
         }
         // Outputs both created and spent within the region never surface.
         let spent = &overlay.spent;
-        overlay.created.retain(|u| !spent.contains(&u.outpoint));
+        overlay.created.retain(|u| !is_spent(spent, &u.outpoint));
         // Pagination order. All created entries sit above the anchor, so
         // they precede every stable entry.
         overlay
@@ -340,7 +341,7 @@ impl BitcoinCanisterState {
         let stable = self
             .utxos()
             .utxos_after(address, cursor)
-            .filter(|u| !overlay.spent.contains(&u.outpoint));
+            .filter(|u| !is_spent(&overlay.spent, &u.outpoint));
         let mut page = Vec::new();
         let mut more = false;
         for utxo in created.chain(stable) {
@@ -413,7 +414,7 @@ impl BitcoinCanisterState {
         let stable = self
             .utxos()
             .utxos_after(address, None)
-            .filter(|u| !overlay.spent.contains(&u.outpoint))
+            .filter(|u| !is_spent(&overlay.spent, &u.outpoint))
             .fold(Amount::ZERO, |total, u| {
                 meter.charge(metering::STABLE_BALANCE_ENTRY);
                 total.saturating_add(u.value)
@@ -492,10 +493,8 @@ impl BitcoinCanisterState {
     /// vector when no fees are observable.
     pub fn get_current_fee_percentiles(&self, meter: &mut Meter) -> Vec<u64> {
         charge_query_base(meter);
-        let tree = self.tree();
-        let best = tree.best_chain();
         let mut rates: Vec<u64> = Vec::new();
-        for hash in best.iter().skip(1).rev().take(6) {
+        for hash in self.best_chain().iter().skip(1).rev().take(6) {
             let Some(block) = self.block(hash) else { continue };
             meter.charge(metering::UNSTABLE_BLOCK_SCAN);
             for tx in block.txdata.iter().filter(|t| !t.is_coinbase()) {
@@ -532,12 +531,12 @@ impl BitcoinCanisterState {
     }
 
     fn lookup_unstable_output(&self, outpoint: &OutPoint, meter: &mut Meter) -> Option<Amount> {
-        for hash in self.tree().best_chain().iter().skip(1) {
-            let block = self.block(hash)?;
+        for hash in self.best_chain().iter().skip(1) {
+            let entry = self.unstable_block(hash)?;
             meter.charge(metering::UNSTABLE_BLOCK_SCAN);
-            for tx in &block.txdata {
+            for (tx, txid) in entry.block.txdata.iter().zip(&entry.txids) {
                 meter.charge(metering::UNSTABLE_UTXO_FETCH);
-                if tx.txid() == outpoint.txid {
+                if *txid == outpoint.txid {
                     return tx.outputs.get(outpoint.vout as usize).map(|o| o.value);
                 }
             }

@@ -388,22 +388,10 @@ impl BitcoinCanister {
         m.set_gauge("canister_storage_budget_headroom_bytes", storage.budget_headroom as i64);
     }
 
+    /// Executes a replicated call: `SendTransaction` is the one write;
+    /// every read takes the same path as [`BitcoinCanister::query`].
     fn dispatch(&mut self, call: CanisterCall, meter: &mut Meter) -> CallOutcome {
         match call {
-            CanisterCall::GetUtxos { address, filter } => {
-                let reply = self.state.get_utxos(&address, filter, meter).map(CanisterReply::Utxos);
-                CallOutcome { reply, cycles_charged: self.fees.get_utxos_fee(meter.instructions()) }
-            }
-            CanisterCall::GetBalance { address, min_confirmations } => {
-                let reply = self
-                    .state
-                    .get_balance(&address, min_confirmations, meter)
-                    .map(CanisterReply::Balance);
-                CallOutcome {
-                    reply,
-                    cycles_charged: self.fees.get_balance_fee(meter.instructions()),
-                }
-            }
             CanisterCall::SendTransaction { transaction } => {
                 let size = transaction.len();
                 let reply = self
@@ -412,28 +400,7 @@ impl BitcoinCanister {
                     .map(CanisterReply::TransactionSent);
                 CallOutcome { reply, cycles_charged: self.fees.send_transaction_fee(size) }
             }
-            CanisterCall::GetFeePercentiles => {
-                let reply =
-                    Ok(CanisterReply::FeePercentiles(self.state.get_current_fee_percentiles(meter)));
-                CallOutcome { reply, cycles_charged: self.fees.get_balance_fee(meter.instructions()) }
-            }
-            CanisterCall::GetBlockHeaders { start_height, end_height } => {
-                let reply = self
-                    .state
-                    .get_block_headers(start_height, end_height, meter)
-                    .map(CanisterReply::BlockHeaders);
-                CallOutcome { reply, cycles_charged: self.fees.get_balance_fee(meter.instructions()) }
-            }
-            CanisterCall::GetMetrics => {
-                // Mirrors the production canister's metrics endpoint: an
-                // unpaid read (served over HTTP query there), so no cycles
-                // are charged.
-                meter.charge(metering::QUERY_BASE);
-                CallOutcome {
-                    reply: Ok(CanisterReply::Metrics(self.get_metrics())),
-                    cycles_charged: 0,
-                }
-            }
+            read => self.query(&read, meter),
         }
     }
 
@@ -441,48 +408,32 @@ impl BitcoinCanister {
     /// `SendTransaction` is rejected in query mode — writes must be
     /// replicated.
     pub fn query(&self, call: &CanisterCall, meter: &mut Meter) -> CallOutcome {
-        match call {
-            CanisterCall::SendTransaction { .. } => CallOutcome {
-                reply: Err(ApiError::MalformedTransaction),
-                cycles_charged: 0,
-            },
-            CanisterCall::GetUtxos { address, filter } => {
-                let reply = self
-                    .state
-                    .get_utxos(address, filter.clone(), meter)
-                    .map(CanisterReply::Utxos);
-                CallOutcome { reply, cycles_charged: self.fees.get_utxos_fee(meter.instructions()) }
-            }
-            CanisterCall::GetBalance { address, min_confirmations } => {
-                let reply = self
-                    .state
-                    .get_balance(address, *min_confirmations, meter)
-                    .map(CanisterReply::Balance);
-                CallOutcome {
-                    reply,
-                    cycles_charged: self.fees.get_balance_fee(meter.instructions()),
-                }
-            }
+        let reply = match call {
+            CanisterCall::SendTransaction { .. } => Err(ApiError::MalformedTransaction),
+            CanisterCall::GetUtxos { address, filter } => self
+                .state
+                .get_utxos(address, filter.clone(), meter)
+                .map(CanisterReply::Utxos),
+            CanisterCall::GetBalance { address, min_confirmations } => self
+                .state
+                .get_balance(address, *min_confirmations, meter)
+                .map(CanisterReply::Balance),
             CanisterCall::GetFeePercentiles => {
-                let reply =
-                    Ok(CanisterReply::FeePercentiles(self.state.get_current_fee_percentiles(meter)));
-                CallOutcome { reply, cycles_charged: self.fees.get_balance_fee(meter.instructions()) }
+                Ok(CanisterReply::FeePercentiles(self.state.get_current_fee_percentiles(meter)))
             }
-            CanisterCall::GetBlockHeaders { start_height, end_height } => {
-                let reply = self
-                    .state
-                    .get_block_headers(*start_height, *end_height, meter)
-                    .map(CanisterReply::BlockHeaders);
-                CallOutcome { reply, cycles_charged: self.fees.get_balance_fee(meter.instructions()) }
-            }
+            CanisterCall::GetBlockHeaders { start_height, end_height } => self
+                .state
+                .get_block_headers(*start_height, *end_height, meter)
+                .map(CanisterReply::BlockHeaders),
             CanisterCall::GetMetrics => {
+                // Mirrors the production canister's metrics endpoint: an
+                // unpaid read (served over HTTP query there), so no cycles
+                // are charged.
                 meter.charge(metering::QUERY_BASE);
-                CallOutcome {
-                    reply: Ok(CanisterReply::Metrics(self.get_metrics())),
-                    cycles_charged: 0,
-                }
+                Ok(CanisterReply::Metrics(self.get_metrics()))
             }
-        }
+        };
+        CallOutcome { reply, cycles_charged: self.query_fee(call, meter.instructions()) }
     }
 
     /// Executes a call in query mode through the tip-keyed query cache.
@@ -551,7 +502,7 @@ impl BitcoinCanister {
         outcome
     }
 
-    /// The fee a query-mode call pays for `instructions`.
+    /// The fee a read pays for `instructions`, on either plane.
     fn query_fee(&self, call: &CanisterCall, instructions: u64) -> Cycles {
         match call {
             CanisterCall::GetUtxos { .. } => self.fees.get_utxos_fee(instructions),

@@ -8,19 +8,19 @@
 //! advance the anchor whenever a child becomes δ-stable, and track
 //! syncedness against the τ lag bound.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use icbtc_bitcoin::encode::{Decodable, Encodable};
 use icbtc_bitcoin::hash::{sha256, Sha256};
 use icbtc_bitcoin::pow::{median_time_past, retarget};
-use icbtc_bitcoin::{Block, BlockHash, BlockHeader, Transaction, Txid};
+use icbtc_bitcoin::{Block, BlockHash, BlockHeader, OutPoint, Transaction, Txid};
 use icbtc_core::stability::HeaderTree;
 use icbtc_core::{GetSuccessorsRequest, GetSuccessorsResponse, IntegrationParams};
 use icbtc_ic::{Meter, MeterBreakdown};
 
 use crate::metering;
 use crate::storage::{codec, StorageError};
-use crate::utxoset::{SnapshotReader, UtxoSet};
+use crate::utxoset::{expect_ingested, SnapshotReader, UtxoSet};
 
 /// Why a header or block from the adapter was rejected. Rejections are
 /// not errors of the canister — malicious replicas may relay garbage —
@@ -61,6 +61,30 @@ pub struct IngestReport {
     pub duplicate_dropped: bool,
 }
 
+/// An unstable block body with what ingest derives from it once, so
+/// that reads never re-hash: the txid of every transaction (in block
+/// order) and every outpoint the block's inputs spend. The derived parts
+/// are never serialized; a restore rebuilds them from the body.
+#[derive(Debug, Clone)]
+pub(crate) struct UnstableBlock {
+    pub(crate) block: Block,
+    pub(crate) txids: Vec<Txid>,
+    pub(crate) spent: BTreeSet<OutPoint>,
+}
+
+impl UnstableBlock {
+    /// Indexes `block`, whose txids the caller has already computed.
+    fn new(block: Block, txids: Vec<Txid>) -> UnstableBlock {
+        let spent = block
+            .txdata
+            .iter()
+            .filter(|tx| !tx.is_coinbase())
+            .flat_map(|tx| tx.inputs.iter().map(|input| input.previous_output))
+            .collect();
+        UnstableBlock { block, txids, spent }
+    }
+}
+
 /// The replicated state of the Bitcoin canister.
 ///
 /// # Examples
@@ -81,11 +105,18 @@ pub struct BitcoinCanisterState {
     /// The single stable header per height, genesis first (kept forever,
     /// as the paper specifies).
     stable_headers: Vec<BlockHeader>,
+    /// Hashes of `stable_headers`, for the below-anchor check. Derived:
+    /// never serialized.
+    stable_hashes: BTreeSet<BlockHash>,
     /// Header tree rooted at the anchor (the anchor plus all unstable
     /// headers).
     tree: HeaderTree,
-    /// Bodies of unstable blocks, keyed by header hash.
-    blocks: BTreeMap<BlockHash, Block>,
+    /// `tree.best_chain()`, recomputed whenever the tree changes. Derived:
+    /// never serialized.
+    best_chain: Vec<BlockHash>,
+    /// Bodies of unstable blocks with their ingest-time index, keyed by
+    /// header hash.
+    blocks: BTreeMap<BlockHash, UnstableBlock>,
     /// Outbound transactions awaiting the next adapter request.
     outbound: Vec<Transaction>,
     synced: bool,
@@ -109,11 +140,14 @@ impl BitcoinCanisterState {
         let mut meter = Meter::new();
         let mut breakdown = MeterBreakdown::new();
         utxos.ingest_block(&genesis.txdata, 0, &mut meter, &mut breakdown);
+        let tree = HeaderTree::new(genesis.header);
         BitcoinCanisterState {
             params,
             utxos,
             stable_headers: vec![genesis.header],
-            tree: HeaderTree::new(genesis.header),
+            stable_hashes: BTreeSet::from([genesis.block_hash()]),
+            best_chain: tree.best_chain(),
+            tree,
             blocks: BTreeMap::new(),
             outbound: Vec::new(),
             synced: true,
@@ -150,7 +184,17 @@ impl BitcoinCanisterState {
 
     /// The unstable block body for `hash`, if held.
     pub fn block(&self, hash: &BlockHash) -> Option<&Block> {
+        self.blocks.get(hash).map(|entry| &entry.block)
+    }
+
+    /// The unstable block for `hash` with its ingest-time index.
+    pub(crate) fn unstable_block(&self, hash: &BlockHash) -> Option<&UnstableBlock> {
         self.blocks.get(hash)
+    }
+
+    /// The current best chain (the path maximizing `d_w`), anchor first.
+    pub fn best_chain(&self) -> &[BlockHash] {
+        &self.best_chain
     }
 
     /// Number of unstable block bodies held.
@@ -212,25 +256,22 @@ impl BitcoinCanisterState {
         if height <= self.anchor_height() {
             return self.stable_headers.get(height as usize).copied();
         }
-        let best = self.tree.best_chain();
         let offset = (height - self.anchor_height()) as usize;
-        best.get(offset).and_then(|h| self.tree.header(h))
+        self.best_chain.get(offset).and_then(|h| self.tree.header(h))
     }
 
     /// The tip of the current best chain (the chain maximizing `d_w`).
     pub fn best_tip(&self) -> (BlockHash, u64) {
-        let best = self.tree.best_chain();
-        let tip = *best.last().expect("anchor always present"); // icbtc-lint: allow(no-panic) -- invariant: best_chain always contains at least the tree root (the anchor)
-        (tip, self.anchor_height() + best.len() as u64 - 1)
+        let tip = *self.best_chain.last().expect("anchor always present"); // icbtc-lint: allow(no-panic) -- invariant: best_chain always contains at least the tree root (the anchor)
+        (tip, self.anchor_height() + self.best_chain.len() as u64 - 1)
     }
 
     /// The deepest height on the best chain for which the block body is
     /// available — what `get_utxos`/`get_balance` can actually see. Lags
     /// [`BitcoinCanisterState::best_tip`] by at most τ while synced.
     pub fn available_tip_height(&self) -> u64 {
-        let best = self.tree.best_chain();
         let mut height = self.anchor_height();
-        for (i, hash) in best.iter().enumerate().skip(1) {
+        for (i, hash) in self.best_chain.iter().enumerate().skip(1) {
             if self.blocks.contains_key(hash) {
                 height = self.anchor_height() + i as u64;
             } else {
@@ -253,7 +294,7 @@ impl BitcoinCanisterState {
         let prev = header.prev_blockhash;
         if !self.tree.contains(&prev) {
             // Headers below the anchor cannot extend anything.
-            if self.stable_headers.iter().any(|h| h.block_hash() == prev) {
+            if self.stable_hashes.contains(&prev) {
                 return Err(RejectReason::BelowAnchor);
             }
             return Err(RejectReason::Orphan(prev));
@@ -323,8 +364,8 @@ impl BitcoinCanisterState {
         median_time_past(&window.iter().map(|h| h.time).collect::<Vec<_>>())
     }
 
-    fn block_valid(&self, block: &Block) -> Result<(), RejectReason> {
-        if !block.is_well_formed() {
+    fn block_valid(&self, block: &Block, txids: &[Txid]) -> Result<(), RejectReason> {
+        if !block.is_well_formed_with_txids(txids) {
             return Err(RejectReason::MalformedBlock);
         }
         let prev = block.header.prev_blockhash;
@@ -406,21 +447,27 @@ impl BitcoinCanisterState {
                 }
             }
             meter.frame_end(validate);
-            if let Err(reason) = self.block_valid(&block) {
+            // The block's only hashing pass: the Merkle check and every
+            // later reader use these txids.
+            let txids = block.txids();
+            if let Err(reason) = self.block_valid(&block, &txids) {
                 report.rejected.push(reason);
                 continue;
             }
-            // PARSE_TX = TX_HASHING + TX_DECODE, charged at the same site
-            // as the old flat per-transaction constant, split into the two
-            // frames so the profiler can attribute the parts.
+            // PARSE_TX = TX_HASHING + TX_DECODE per transaction of an
+            // accepted block (a rejected block's Merkle check is
+            // unpriced), split into the two frames so the profiler can
+            // attribute the parts.
             let hashing = meter.frame("hashing");
-            meter.charge(block.txdata.len() as u64 * metering::TX_HASHING);
+            for _ in &txids {
+                meter.charge(metering::TX_HASHING);
+            }
             meter.frame_end(hashing);
             let decode = meter.frame("tx_decode");
             meter.charge(block.txdata.len() as u64 * metering::TX_DECODE);
             meter.frame_end(decode);
             let _ = self.tree.insert(block.header);
-            if self.blocks.insert(hash, block).is_none() {
+            if self.blocks.insert(hash, UnstableBlock::new(block, txids)).is_none() {
                 report.blocks_accepted += 1;
             }
             self.advance_anchor(&mut report, meter);
@@ -444,6 +491,7 @@ impl BitcoinCanisterState {
             meter.frame_end(validate);
         }
 
+        self.best_chain = self.tree.best_chain();
         if let Some(content) = fingerprint {
             // Keyed at the *post-apply* tip: a redelivered copy of this
             // response arrives when the live tip is exactly this one.
@@ -480,16 +528,24 @@ impl BitcoinCanisterState {
             }
             // Fold the stabilized block into the UTXO set and discard its
             // body; keep exactly its header at this height.
-            let block = self.blocks.remove(&next_hash).expect("candidate has body"); // icbtc-lint: allow(no-panic) -- invariant: candidate was filtered on blocks.contains_key four lines up
+            let entry = self.blocks.remove(&next_hash).expect("candidate has body"); // icbtc-lint: allow(no-panic) -- invariant: candidate was filtered on blocks.contains_key four lines up
             let mut breakdown = MeterBreakdown::new();
             let height = self.anchor_height() + 1;
             let ingest = meter.frame("ingest_block");
-            self.utxos.ingest_block(&block.txdata, height, meter, &mut breakdown);
+            let result = self.utxos.try_ingest_block(
+                &entry.block.txdata,
+                &entry.txids,
+                height,
+                meter,
+                &mut breakdown,
+            );
+            expect_ingested(result, height);
             meter.frame_end(ingest);
             for (label, value) in breakdown.entries() {
                 self.ingestion_breakdown.add(label, *value);
             }
-            self.stable_headers.push(block.header);
+            self.stable_headers.push(entry.block.header);
+            self.stable_hashes.insert(next_hash);
             self.blocks_stabilized += 1;
             report.stabilized.push(next_hash);
             // Prune every branch not passing through the new anchor.
@@ -535,6 +591,8 @@ impl BitcoinCanisterState {
             utxos.next_height(),
             "one stable header per ingested height"
         );
+        let stable_hashes: BTreeSet<BlockHash> =
+            stable_headers.iter().map(BlockHeader::block_hash).collect();
         for pair in stable_headers.windows(2) {
             assert_eq!(
                 pair[1].prev_blockhash,
@@ -546,7 +604,9 @@ impl BitcoinCanisterState {
         let anchor_height = stable_headers.len() as u64 - 1;
         self.utxos = utxos;
         self.stable_headers = stable_headers;
+        self.stable_hashes = stable_hashes;
         self.tree = HeaderTree::with_root_height(anchor, anchor_height);
+        self.best_chain = self.tree.best_chain();
         self.blocks.clear();
         self.blocks_stabilized = anchor_height + 1;
         self.synced = true;
@@ -600,8 +660,8 @@ impl BitcoinCanisterState {
             sink(&header.encode_to_vec());
         }
         sink(&(self.blocks.len() as u64).to_be_bytes());
-        for block in self.blocks.values() {
-            let bytes = block.encode_to_vec();
+        for entry in self.blocks.values() {
+            let bytes = entry.block.encode_to_vec();
             sink(&(bytes.len() as u64).to_be_bytes());
             sink(&bytes);
         }
@@ -687,14 +747,17 @@ impl BitcoinCanisterState {
             return Err(StorageError::Corrupt("stable chain length disagrees with utxo height"));
         }
         let mut stable_headers: Vec<BlockHeader> = Vec::new();
+        let mut stable_hashes = BTreeSet::new();
+        let mut prev_hash: Option<BlockHash> = None;
         for _ in 0..stable_count {
             let header = BlockHeader::decode_exact(cursor.take(80)?)
                 .map_err(|_| StorageError::Corrupt("bad stable header"))?;
-            if let Some(prev) = stable_headers.last() {
-                if header.prev_blockhash != prev.block_hash() {
-                    return Err(StorageError::Corrupt("stable headers do not chain"));
-                }
+            if prev_hash.is_some_and(|prev| header.prev_blockhash != prev) {
+                return Err(StorageError::Corrupt("stable headers do not chain"));
             }
+            let hash = header.block_hash();
+            stable_hashes.insert(hash);
+            prev_hash = Some(hash);
             stable_headers.push(header);
         }
         let anchor = *stable_headers.last().expect("non-empty"); // icbtc-lint: allow(no-panic) -- guarded by the stable_count == 0 check above
@@ -718,7 +781,8 @@ impl BitcoinCanisterState {
             if !tree.contains(&hash) || hash == tree.root() {
                 return Err(StorageError::Corrupt("block body without unstable header"));
             }
-            blocks.insert(hash, block);
+            let txids = block.txids();
+            blocks.insert(hash, UnstableBlock::new(block, txids));
         }
         let outbound_count = cursor.u64()? as usize;
         let mut outbound: Vec<Transaction> = Vec::new();
@@ -762,6 +826,8 @@ impl BitcoinCanisterState {
             params,
             utxos,
             stable_headers,
+            stable_hashes,
+            best_chain: tree.best_chain(),
             tree,
             blocks,
             outbound,
@@ -900,6 +966,38 @@ mod tests {
         let future_chain_now = blocks[0].header.time.saturating_sub(3 * 60 * 60);
         let report = state.process_response(respond_with(&blocks[..1]), future_chain_now, &mut meter);
         assert_eq!(report.rejected, vec![RejectReason::BadTimestamp]);
+    }
+
+    #[test]
+    fn below_anchor_and_orphan_headers_are_told_apart() {
+        let mut chain = ChainStore::new(Network::Regtest);
+        let blocks = mine_chain(&mut chain, 6, 0);
+        let mut state = BitcoinCanisterState::new(params());
+        state.process_response(respond_with(&blocks), NOW, &mut Meter::new());
+        assert!(state.anchor_height() >= 3);
+        // A competitor of block 2: its parent, block 1, is stable and
+        // below the anchor.
+        let payee = Script::new_p2wpkh(&[9; 20]);
+        let stale = mine_block_on(&chain, blocks[0].block_hash(), Vec::new(), payee, 900);
+        let mut orphan = stale.header;
+        orphan.prev_blockhash = BlockHash([0x5a; 32]);
+        let mut on_genesis = stale.header;
+        on_genesis.prev_blockhash = Network::Regtest.genesis_hash();
+        let response = GetSuccessorsResponse {
+            blocks: Vec::new(),
+            next: vec![stale.header, orphan, on_genesis],
+        };
+        let expected = vec![
+            RejectReason::BelowAnchor,
+            RejectReason::Orphan(BlockHash([0x5a; 32])),
+            RejectReason::BelowAnchor,
+        ];
+        // The lookup is rebuilt on restore, so a restored state agrees.
+        let mut restored = BitcoinCanisterState::deserialize(&state.serialize()).unwrap();
+        let report = state.process_response(response.clone(), NOW, &mut Meter::new());
+        assert_eq!(report.rejected, expected);
+        let report = restored.process_response(response, NOW, &mut Meter::new());
+        assert_eq!(report.rejected, expected);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! `canister_storage_*` gauges.
 
 use icbtc_bitcoin::hash::{sha256, Sha256};
-use icbtc_bitcoin::{Address, Amount, Network, OutPoint, Script, Transaction, TxOut};
+use icbtc_bitcoin::{Address, Amount, Network, OutPoint, Script, Transaction, TxOut, Txid};
 use icbtc_ic::{Meter, MeterBreakdown};
 
 use crate::metering;
@@ -153,8 +153,8 @@ impl UtxoSet {
     ///
     /// Panics if `height` is not the expected next height — stable blocks
     /// are ingested strictly in order — or if the storage budget is
-    /// exhausted mid-block. Callers that want to handle budget exhaustion
-    /// use [`UtxoSet::try_ingest_block`].
+    /// exhausted mid-block. Callers that want to handle budget exhaustion,
+    /// or that already hold the txids, use [`UtxoSet::try_ingest_block`].
     pub fn ingest_block(
         &mut self,
         transactions: &[Transaction],
@@ -162,14 +162,17 @@ impl UtxoSet {
         meter: &mut Meter,
         breakdown: &mut MeterBreakdown,
     ) {
-        if let Err(error) = self.try_ingest_block(transactions, height, meter, breakdown) {
-            panic!("stable UTXO storage failed ingesting height {height}: {error}"); // icbtc-lint: allow(no-panic) -- the budget must fail loudly: continuing past it would silently diverge replicated state
-        }
+        let txids: Vec<Txid> = transactions.iter().map(Transaction::txid).collect();
+        let result = self.try_ingest_block(transactions, &txids, height, meter, breakdown);
+        expect_ingested(result, height);
     }
 
-    /// Fallible ingest: like [`UtxoSet::ingest_block`] but returns the
-    /// storage error instead of panicking when the byte budget (or the
-    /// per-entry cell cap) is hit.
+    /// Fallible ingest: like [`UtxoSet::ingest_block`] but takes the
+    /// transactions' txids (`txids[i]` is `transactions[i].txid()`), so a
+    /// caller that already hashed the block does not hash it again, and
+    /// returns the storage error instead of panicking when the byte budget
+    /// (or the per-entry cell cap) is hit. Each transaction is still
+    /// charged [`metering::TX_HASHING`].
     ///
     /// # Errors
     ///
@@ -182,6 +185,7 @@ impl UtxoSet {
     pub fn try_ingest_block(
         &mut self,
         transactions: &[Transaction],
+        txids: &[Txid],
         height: u64,
         meter: &mut Meter,
         breakdown: &mut MeterBreakdown,
@@ -192,10 +196,9 @@ impl UtxoSet {
                 got: height,
             });
         }
-        for tx in transactions {
+        for (tx, &txid) in transactions.iter().zip(txids) {
             let hashing = meter.frame("hashing");
             meter.charge(metering::TX_HASHING);
-            let txid = tx.txid();
             meter.frame_end(hashing);
             let decode = meter.frame("tx_decode");
             meter.charge(metering::TX_DECODE);
@@ -451,6 +454,15 @@ impl UtxoSet {
     }
 }
 
+/// Unwraps an ingest result. Stable blocks are ingested strictly in
+/// order and within the storage budget; an error here means replicated
+/// state can no longer advance, so it panics.
+pub(crate) fn expect_ingested(result: Result<(), StorageError>, height: u64) {
+    if let Err(error) = result {
+        panic!("stable UTXO storage failed ingesting height {height}: {error}"); // icbtc-lint: allow(no-panic) -- the budget must fail loudly: continuing past it would silently diverge replicated state
+    }
+}
+
 /// Minimal bounds-checked reader for snapshot deserialization, shared
 /// with the full-state checkpoint envelope in [`crate::state`] and the
 /// canister-level wrapper in [`crate::canister`].
@@ -699,9 +711,9 @@ mod tests {
     #[test]
     fn out_of_order_ingestion_is_a_typed_error() {
         let (mut set, mut meter, mut breakdown) = fresh();
-        let err = set
-            .try_ingest_block(&[pay_tx(None, &[(1, 1)])], 5, &mut meter, &mut breakdown)
-            .unwrap_err();
+        let tx = pay_tx(None, &[(1, 1)]);
+        let txs = std::slice::from_ref(&tx);
+        let err = set.try_ingest_block(txs, &[tx.txid()], 5, &mut meter, &mut breakdown).unwrap_err();
         assert_eq!(err, StorageError::OutOfOrderIngestion { expected: 0, got: 5 });
         // Rejected before touching any state: the set stays usable.
         set.ingest_block(&[pay_tx(None, &[(1, 1)])], 0, &mut meter, &mut breakdown);
@@ -767,8 +779,10 @@ mod tests {
         let mut height = 0u64;
         let error = loop {
             let outputs: Vec<(u8, u64)> = (0..30).map(|i| (i as u8, 100)).collect();
+            let tx = pay_tx(None, &outputs);
             match set.try_ingest_block(
-                &[pay_tx(None, &outputs)],
+                std::slice::from_ref(&tx),
+                &[tx.txid()],
                 height,
                 &mut meter,
                 &mut breakdown,

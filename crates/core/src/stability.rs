@@ -247,23 +247,29 @@ impl HeaderTree {
     }
 
     /// The current blockchain per §II-B: the path from the root to a tip
-    /// maximizing cumulative work, root first.
+    /// maximizing cumulative work, root first. Among children of equal
+    /// `d_w` the last one inserted wins.
+    ///
+    /// One post-order pass computes `d_w` of every node (deepest level
+    /// first, so children precede parents), then the walk from the root
+    /// reads it: O(n log n) in the tree size, where calling
+    /// [`HeaderTree::depth_work`] at every child would be quadratic.
     pub fn best_chain(&self) -> Vec<BlockHash> {
-        let mut chain = vec![self.root];
-        let mut cursor = self.root;
-        loop {
-            let next = self
-                .children(&cursor)
-                .iter()
-                .max_by_key(|c| self.depth_work(c).unwrap_or(Work::ZERO));
-            match next {
-                Some(child) => {
-                    chain.push(*child);
-                    cursor = *child;
-                }
-                None => return chain,
+        let mut depth: BTreeMap<BlockHash, Work> = BTreeMap::new();
+        for level in self.by_height.values().rev() {
+            for hash in level {
+                let own = self.nodes[hash].header.work();
+                let best = self.children(hash).iter().filter_map(|c| depth.get(c)).max();
+                depth.insert(*hash, own + best.copied().unwrap_or(Work::ZERO));
             }
         }
+        let mut chain = vec![self.root];
+        let mut cursor = self.root;
+        while let Some(child) = self.children(&cursor).iter().max_by_key(|c| depth.get(c)) {
+            chain.push(*child);
+            cursor = *child;
+        }
+        chain
     }
 
     /// Prunes every branch that does not pass through `new_root`, making
@@ -603,6 +609,36 @@ mod tests {
                         assert_eq!(stability, depth);
                     }
                 }
+            });
+        }
+
+        /// The pre-pass best chain: picks each child by the recursive
+        /// `d_w`, re-walking the subtree at every step.
+        fn best_chain_by_recursive_walk(tree: &HeaderTree) -> Vec<BlockHash> {
+            let mut chain = vec![tree.root()];
+            let mut cursor = tree.root();
+            while let Some(child) = tree
+                .children(&cursor)
+                .iter()
+                .max_by_key(|c| tree.depth_work(c).unwrap_or(Work::ZERO))
+            {
+                chain.push(*child);
+                cursor = *child;
+            }
+            chain
+        }
+
+        /// The one-pass best chain equals the recursive walk, tie-break
+        /// included, on random fork trees and after rerooting them.
+        #[test]
+        fn best_chain_matches_recursive_walk() {
+            testkit::check(0x57_0004, testkit::DEFAULT_CASES, |rng| {
+                let choices = testkit::bytes(rng, 1..60);
+                let (mut tree, hashes) = random_tree(&choices);
+                assert_eq!(tree.best_chain(), best_chain_by_recursive_walk(&tree));
+                let new_root = hashes[choices[0] as usize % hashes.len()];
+                tree.reroot(new_root);
+                assert_eq!(tree.best_chain(), best_chain_by_recursive_walk(&tree));
             });
         }
 

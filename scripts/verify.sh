@@ -15,6 +15,9 @@ cargo build --release --offline
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+echo "==> perfbench small-size suite (determinism, traced-vs-untraced identity, Stack lockstep)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 OBS_TMP="$(mktemp -d)"
 trap 'rm -rf "$OBS_TMP"' EXIT
 
@@ -198,4 +201,4 @@ if cargo tree --offline --prefix none | grep -v '^icbtc' | grep -q '[^[:space:]]
     exit 1
 fi
 
-echo "OK: hermetic build + tests + lint + observability + chaos + query-plane + storage determinism + profiler + perf trajectory + recovery passed"
+echo "OK: hermetic build + tests + perfbench suite + lint + observability + chaos + query-plane + storage determinism + profiler + perf trajectory + recovery passed"

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use icbtc::canister::{StorageConfig, StorageError, UtxoSet};
 use icbtc::ic::{Meter, MeterBreakdown};
 use icbtc_bitcoin::{
-    Address, AddressKind, Amount, Network, OutPoint, Transaction, TxIn, TxOut,
+    Address, AddressKind, Amount, Network, OutPoint, Transaction, TxIn, TxOut, Txid,
 };
 use icbtc_sim::{testkit, SimRng};
 
@@ -83,6 +83,10 @@ impl Oracle {
         });
         utxos
     }
+}
+
+fn txids(txs: &[Transaction]) -> Vec<Txid> {
+    txs.iter().map(Transaction::txid).collect()
 }
 
 /// One random block: a coinbase paying 1–3 outputs (values drawn from a
@@ -178,7 +182,7 @@ fn engine_matches_the_in_heap_oracle_on_random_chains() {
         for height in 0..blocks {
             let txs = random_block(rng, &oracle);
             oracle.ingest_block(&txs, height);
-            set.try_ingest_block(&txs, height, &mut meter, &mut breakdown)
+            set.try_ingest_block(&txs, &txids(&txs), height, &mut meter, &mut breakdown)
                 .expect("8 MiB budget must fit this workload");
             assert_engine_matches_oracle(&set, &oracle, &format!("height {height}"));
         }
@@ -203,7 +207,8 @@ fn same_seed_runs_serialize_byte_identically() {
             for height in 0..20 {
                 let txs = random_block(&mut rng, &oracle);
                 oracle.ingest_block(&txs, height);
-                set.try_ingest_block(&txs, height, &mut Meter::new(), &mut MeterBreakdown::new())
+                let (mut meter, mut breakdown) = (Meter::new(), MeterBreakdown::new());
+                set.try_ingest_block(&txs, &txids(&txs), height, &mut meter, &mut breakdown)
                     .expect("budget");
             }
             set
@@ -226,8 +231,9 @@ fn budget_bounded_ingest_fails_loudly_and_deterministically() {
         for height in 0..10_000 {
             let txs = random_block(&mut rng, &oracle);
             oracle.ingest_block(&txs, height);
+            let (mut meter, mut breakdown) = (Meter::new(), MeterBreakdown::new());
             if let Err(error) =
-                set.try_ingest_block(&txs, height, &mut Meter::new(), &mut MeterBreakdown::new())
+                set.try_ingest_block(&txs, &txids(&txs), height, &mut meter, &mut breakdown)
             {
                 assert!(
                     matches!(error, StorageError::BudgetExhausted { .. }),
