@@ -95,6 +95,9 @@ const INFLIGHT_BASE_TIMEOUT: SimDuration = SimDuration::from_secs(30);
 /// Cap on the backoff doubling (30 s << 4 = 480 s).
 const MAX_BACKOFF_EXPONENT: u32 = 4;
 
+/// Cap on outstanding block fetches issued by the proactive body download.
+const MAX_INFLIGHT: usize = 24;
+
 /// Minimum spacing between header-sync rounds.
 const GETHEADERS_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
@@ -276,20 +279,18 @@ impl BitcoinAdapter {
         // best-chain bodies ahead of canister requests (bounded
         // concurrency), so that Algorithm 1 can serve connected runs of
         // blocks instead of one per request round-trip.
-        const MAX_INFLIGHT: usize = 24;
-        if self.inflight_blocks.len() < MAX_INFLIGHT {
-            let mut wanted = Vec::new();
-            for hash in self.store.best_chain_hashes().into_iter().rev() {
-                if self.inflight_blocks.len() + wanted.len() >= MAX_INFLIGHT {
-                    break;
-                }
-                if !self.store.has_block(&hash) && !self.inflight_blocks.contains_key(&hash) {
-                    wanted.push(hash);
-                }
-            }
-            for hash in wanted {
-                self.request_block(net, hash);
-            }
+        // The store's missing-body cursor starts the scan at the lowest
+        // best-chain height without a body, so a synced adapter does no
+        // per-step walk of the chain.
+        let room = MAX_INFLIGHT.saturating_sub(self.inflight_blocks.len());
+        let wanted: Vec<BlockHash> = self
+            .store
+            .missing_bodies()
+            .filter(|hash| !self.inflight_blocks.contains_key(hash))
+            .take(room)
+            .collect();
+        for hash in wanted {
+            self.request_block(net, hash);
         }
 
         // Drain inboxes.
@@ -956,6 +957,48 @@ mod tests {
             "seen_inv did not shrink back: {}",
             adapter.seen_inv_len()
         );
+    }
+
+    /// Regression: a reorg onto a branch whose bodies are missing must
+    /// rewind the missing-body cursor, so `step` fetches the new branch
+    /// from the fork point up.
+    #[test]
+    fn reorg_to_headers_only_fork_fetches_bodies_from_the_fork_point() {
+        let (mut net, mut adapter) = setup(3, 4);
+        sync_adapter(&mut net, &mut adapter, 40);
+        assert_eq!(adapter.chain().missing_bodies().next(), None, "synced: cursor at the tip");
+        assert_eq!(adapter.inflight_len(), 0);
+
+        // A heavier fork branching a few blocks down, fed as headers only.
+        let view = adapter.chain().clone();
+        let branch = view.best_chain_hash_at(view.tip_height() - 3).unwrap();
+        let mut fork = icbtc_btcnet::adversary::SecretForkMiner::branch_at(&view, branch).unwrap();
+        let fork_hashes: Vec<BlockHash> =
+            fork.extend(5, 11).iter().map(|b| b.block_hash()).collect();
+        let headers = fork.blocks().iter().map(|b| b.header).collect();
+        let conn = adapter.manager.connection_ids()[0];
+        adapter.handle_network_message(&mut net, conn, Message::Headers(headers));
+        assert_eq!(adapter.chain().tip_hash(), fork_hashes[4]);
+
+        // With room for one fetch, `step` asks for the block just above
+        // the fork point.
+        for i in 0..MAX_INFLIGHT - 1 {
+            let placeholder = InflightBlock { conn, requested_at: net.now(), attempts: 0 };
+            adapter.inflight_blocks.insert(BlockHash([i as u8; 32]), placeholder);
+        }
+        adapter.step(&mut net);
+        let requested: Vec<BlockHash> =
+            adapter.inflight_blocks.keys().filter(|h| fork_hashes.contains(h)).copied().collect();
+        assert_eq!(requested, [fork_hashes[0]]);
+
+        // With room, the rest of the branch follows.
+        for i in 0..MAX_INFLIGHT - 1 {
+            adapter.inflight_blocks.remove(&BlockHash([i as u8; 32]));
+        }
+        adapter.step(&mut net);
+        for hash in &fork_hashes {
+            assert!(adapter.inflight_blocks.contains_key(hash), "fork body {hash} not requested");
+        }
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! Every simulated full node keeps the complete directed tree of valid
 //! headers it has seen (forks included — exactly the structure the paper's
 //! §II-B defines), a store of full blocks, and tracks the tip with the
-//! greatest accumulated work.
+//! greatest accumulated work. The best chain is kept as a height-indexed
+//! vector with a cursor at its lowest missing body, so best-chain queries
+//! (hash at height, locator, `getheaders` answers, bodies to fetch) cost
+//! nothing proportional to chain height.
 
 use std::collections::HashMap;
 
@@ -84,7 +87,12 @@ pub struct ChainStore {
     headers: HashMap<BlockHash, StoredHeader>,
     children: HashMap<BlockHash, Vec<BlockHash>>,
     blocks: HashMap<BlockHash, Block>,
-    tip: BlockHash,
+    /// The best chain, genesis first: `best[h]` is the hash at height `h`
+    /// and the last entry is the tip.
+    best: Vec<BlockHash>,
+    /// Lowest best-chain height whose body is not stored (`best.len()`
+    /// when every best-chain body is stored).
+    first_missing: usize,
 }
 
 impl ChainStore {
@@ -101,7 +109,14 @@ impl ChainStore {
         headers.insert(hash, stored);
         let mut blocks = HashMap::new();
         blocks.insert(hash, genesis);
-        ChainStore { network, headers, children: HashMap::new(), blocks, tip: hash }
+        ChainStore {
+            network,
+            headers,
+            children: HashMap::new(),
+            blocks,
+            best: vec![hash],
+            first_missing: 1,
+        }
     }
 
     /// The network this chain belongs to.
@@ -111,17 +126,17 @@ impl ChainStore {
 
     /// Hash of the best (most-work) tip.
     pub fn tip_hash(&self) -> BlockHash {
-        self.tip
+        *self.best.last().expect("the best chain holds genesis")
     }
 
     /// Height of the best tip.
     pub fn tip_height(&self) -> u64 {
-        self.headers[&self.tip].height
+        self.best.len() as u64 - 1
     }
 
     /// The stored entry for the best tip.
     pub fn tip(&self) -> &StoredHeader {
-        &self.headers[&self.tip]
+        &self.headers[&self.tip_hash()]
     }
 
     /// Looks up a stored header.
@@ -245,8 +260,8 @@ impl ChainStore {
         };
         self.headers.insert(hash, stored);
         self.children.entry(header.prev_blockhash).or_default().push(hash);
-        if stored.chain_work > self.headers[&self.tip].chain_work {
-            self.tip = hash;
+        if stored.chain_work > self.tip().chain_work {
+            self.move_tip(hash);
         }
         Ok(true)
     }
@@ -265,77 +280,90 @@ impl ChainStore {
         }
         let hash = block.block_hash();
         self.accept_header(block.header, now_unix)?;
-        Ok(self.blocks.insert(hash, block).is_none())
+        let new = self.blocks.insert(hash, block).is_none();
+        self.advance_first_missing();
+        Ok(new)
     }
 
-    /// Walks the best chain from the tip back to genesis, newest first.
-    pub fn best_chain_hashes(&self) -> Vec<BlockHash> {
-        let mut out = Vec::with_capacity(self.tip_height() as usize + 1);
-        let mut cursor = self.tip;
+    /// Re-points the best-chain index at `tip`: walks back from `tip`
+    /// only until the walk meets the index (the fork point), truncates
+    /// the stale suffix above it and appends the new branch. A reorg
+    /// moves the missing-body cursor down to the fork point + 1.
+    fn move_tip(&mut self, tip: BlockHash) {
+        let mut branch = Vec::new();
+        let mut cursor = tip;
         loop {
-            out.push(cursor);
             let stored = &self.headers[&cursor];
-            if stored.height == 0 {
+            let height = stored.height as usize;
+            if self.best.get(height) == Some(&cursor) {
+                self.best.truncate(height + 1);
                 break;
             }
+            branch.push(cursor);
             cursor = stored.header.prev_blockhash;
         }
-        out
+        self.first_missing = self.first_missing.min(self.best.len());
+        self.best.extend(branch.into_iter().rev());
+        self.advance_first_missing();
+    }
+
+    /// Moves the missing-body cursor up past every stored body.
+    fn advance_first_missing(&mut self) {
+        while self.best.get(self.first_missing).is_some_and(|h| self.blocks.contains_key(h)) {
+            self.first_missing += 1;
+        }
+    }
+
+    /// The best chain, genesis first: entry `h` is the hash at height `h`.
+    pub fn best_chain(&self) -> &[BlockHash] {
+        &self.best
     }
 
     /// Returns the hash at `height` on the best chain, if within range.
     pub fn best_chain_hash_at(&self, height: u64) -> Option<BlockHash> {
-        let tip_height = self.tip_height();
-        if height > tip_height {
-            return None;
-        }
-        let mut cursor = self.tip;
-        for _ in 0..(tip_height - height) {
-            cursor = self.headers[&cursor].header.prev_blockhash;
-        }
-        Some(cursor)
+        self.best.get(usize::try_from(height).ok()?).copied()
+    }
+
+    /// Best-chain hashes whose body is not stored, lowest height first.
+    /// Starts at the missing-body cursor, so a fully synced store yields
+    /// nothing without touching the chain below it.
+    pub fn missing_bodies(&self) -> impl Iterator<Item = BlockHash> + '_ {
+        self.best[self.first_missing..]
+            .iter()
+            .copied()
+            .filter(|hash| !self.blocks.contains_key(hash))
     }
 
     /// Builds a block-locator (exponentially spaced hashes from the tip),
     /// as used in `getheaders`.
     pub fn locator(&self) -> Vec<BlockHash> {
         let mut out = Vec::new();
-        let mut step = 1u64;
-        let mut height = self.tip_height() as i64;
+        let mut step = 1;
+        let mut height = self.best.len() - 1;
         while height > 0 {
-            out.push(self.best_chain_hash_at(height as u64).expect("height in range"));
+            out.push(self.best[height]);
             if out.len() >= 10 {
                 step *= 2;
             }
-            height -= step as i64;
+            height = height.saturating_sub(step);
         }
-        out.push(self.network.genesis_hash());
+        out.push(self.best[0]);
         out
     }
 
     /// Answers a `getheaders` request: up to `max` headers on the best
     /// chain after the first locator hash found on it.
     pub fn headers_after(&self, locator: &[BlockHash], max: usize) -> Vec<BlockHeader> {
-        let best: Vec<BlockHash> = {
-            let mut chain = self.best_chain_hashes();
-            chain.reverse(); // genesis first
-            chain
-        };
         let position = |hash: &BlockHash| -> Option<usize> {
-            let stored = self.headers.get(hash)?;
-            let idx = stored.height as usize;
-            (best.get(idx) == Some(hash)).then_some(idx)
+            let idx = self.headers.get(hash)?.height as usize;
+            (self.best.get(idx) == Some(hash)).then_some(idx)
         };
         let start = locator
             .iter()
             .find_map(position)
-            .map(|idx| idx + 1)
-            .unwrap_or(1); // fork locators fall back to after-genesis
-        best[start.min(best.len())..]
-            .iter()
-            .take(max)
-            .map(|h| self.headers[h].header)
-            .collect()
+            .map_or(1, |idx| idx + 1) // fork locators fall back to after-genesis
+            .min(self.best.len());
+        self.best[start..].iter().take(max).map(|h| self.headers[h].header).collect()
     }
 }
 
@@ -344,6 +372,173 @@ mod tests {
     use super::*;
     use crate::miner::mine_block_on;
     use icbtc_bitcoin::Script;
+    use icbtc_sim::{testkit, SimRng};
+
+    /// The tip-walking best-chain queries the height index replaced, kept
+    /// as the oracle for the indexed versions.
+    mod walk {
+        use super::*;
+
+        /// The best chain from the tip back to genesis, newest first.
+        pub(super) fn best_chain_hashes(chain: &ChainStore) -> Vec<BlockHash> {
+            let mut out = Vec::with_capacity(chain.tip_height() as usize + 1);
+            let mut cursor = chain.tip_hash();
+            loop {
+                out.push(cursor);
+                let stored = chain.header(&cursor).unwrap();
+                if stored.height == 0 {
+                    break;
+                }
+                cursor = stored.header.prev_blockhash;
+            }
+            out
+        }
+
+        pub(super) fn best_chain_hash_at(chain: &ChainStore, height: u64) -> Option<BlockHash> {
+            let tip_height = chain.tip_height();
+            if height > tip_height {
+                return None;
+            }
+            let mut cursor = chain.tip_hash();
+            for _ in 0..(tip_height - height) {
+                cursor = chain.header(&cursor).unwrap().header.prev_blockhash;
+            }
+            Some(cursor)
+        }
+
+        pub(super) fn locator(chain: &ChainStore) -> Vec<BlockHash> {
+            let mut out = Vec::new();
+            let mut step = 1u64;
+            let mut height = chain.tip_height() as i64;
+            while height > 0 {
+                out.push(best_chain_hash_at(chain, height as u64).expect("height in range"));
+                if out.len() >= 10 {
+                    step *= 2;
+                }
+                height -= step as i64;
+            }
+            out.push(chain.network().genesis_hash());
+            out
+        }
+
+        pub(super) fn headers_after(
+            chain: &ChainStore,
+            locator: &[BlockHash],
+            max: usize,
+        ) -> Vec<BlockHeader> {
+            let mut best = best_chain_hashes(chain);
+            best.reverse(); // genesis first
+            let position = |hash: &BlockHash| -> Option<usize> {
+                let idx = chain.header(hash)?.height as usize;
+                (best.get(idx) == Some(hash)).then_some(idx)
+            };
+            let start = locator.iter().find_map(position).map(|idx| idx + 1).unwrap_or(1);
+            best[start.min(best.len())..]
+                .iter()
+                .take(max)
+                .map(|h| chain.header(h).unwrap().header)
+                .collect()
+        }
+
+        /// Best-chain hashes without a stored body, genesis first.
+        pub(super) fn missing_bodies(chain: &ChainStore) -> Vec<BlockHash> {
+            let mut out: Vec<BlockHash> =
+                best_chain_hashes(chain).into_iter().filter(|h| !chain.has_block(h)).collect();
+            out.reverse();
+            out
+        }
+    }
+
+    /// Checks every indexed best-chain query against the walking oracle.
+    fn assert_matches_walk(chain: &ChainStore, known: &[BlockHash], rng: &mut SimRng) {
+        let mut walked = walk::best_chain_hashes(chain);
+        walked.reverse();
+        assert_eq!(chain.best_chain(), walked.as_slice());
+        for height in 0..=chain.tip_height() + 1 {
+            assert_eq!(chain.best_chain_hash_at(height), walk::best_chain_hash_at(chain, height));
+        }
+        assert_eq!(chain.locator(), walk::locator(chain));
+        assert_eq!(chain.missing_bodies().collect::<Vec<_>>(), walk::missing_bodies(chain));
+
+        let unknown = BlockHash(testkit::byte_array(rng));
+        let mut locators = vec![Vec::new(), chain.locator(), vec![unknown]];
+        for _ in 0..4 {
+            // Random known hashes (best chain, side branches, and headers
+            // this store has not received yet) mixed with unknown ones.
+            let mut locator =
+                testkit::vec_with(rng, 0..6, |r| known[testkit::usize_in(r, 0..known.len())]);
+            if testkit::u64_in(rng, 0..3) == 0 {
+                let at = testkit::usize_in(rng, 0..locator.len() + 1);
+                locator.insert(at, BlockHash(testkit::byte_array(rng)));
+            }
+            locators.push(locator);
+        }
+        for locator in &locators {
+            let max = testkit::usize_in(rng, 0..12);
+            assert_eq!(chain.headers_after(locator, max), walk::headers_after(chain, locator, max));
+            assert_eq!(
+                chain.headers_after(locator, usize::MAX),
+                walk::headers_after(chain, locator, usize::MAX)
+            );
+        }
+    }
+
+    /// The height index and the missing-body cursor agree with the tip
+    /// walks after every insert on random fork trees: reorgs onto longer
+    /// side branches, headers that arrive without bodies, and bodies that
+    /// arrive out of order and on side branches.
+    #[test]
+    fn best_chain_index_matches_the_tip_walk() {
+        testkit::check(0xB7C_0001, testkit::DEFAULT_CASES, |rng| {
+            // `source` holds every mined block with its body; `chain` is
+            // the store under test, fed headers and bodies separately.
+            let mut source = ChainStore::new(Network::Regtest);
+            let mut chain = ChainStore::new(Network::Regtest);
+            let mut known = vec![source.tip_hash()];
+            let mut leaves = vec![source.tip_hash()];
+            let mut bodies: Vec<Block> = Vec::new();
+            let steps = testkit::usize_in(rng, 10..60);
+            for step in 0..steps {
+                if bodies.is_empty() || testkit::u64_in(rng, 0..5) < 3 {
+                    // Mine on a random leaf (branches race, so reorgs onto
+                    // longer side branches happen) or a random header.
+                    let parent = if testkit::u64_in(rng, 0..4) < 3 {
+                        leaves[testkit::usize_in(rng, 0..leaves.len())]
+                    } else {
+                        known[testkit::usize_in(rng, 0..known.len())]
+                    };
+                    let payout = Script::new_op_return(b"p");
+                    let block = mine_block_on(&source, parent, Vec::new(), payout, step as u64);
+                    let hash = block.block_hash();
+                    let now = block.header.time;
+                    source.accept_block(block.clone(), now).unwrap();
+                    leaves.retain(|h| *h != parent);
+                    leaves.push(hash);
+                    known.push(hash);
+                    if testkit::u64_in(rng, 0..3) == 0 {
+                        chain.accept_block(block, now).unwrap();
+                    } else {
+                        chain.accept_header(block.header, now).unwrap();
+                        bodies.push(block);
+                    }
+                } else {
+                    // Deliver a pending body, in random order.
+                    let block = bodies.swap_remove(testkit::usize_in(rng, 0..bodies.len()));
+                    let now = block.header.time;
+                    chain.accept_block(block, now).unwrap();
+                }
+                assert_matches_walk(&chain, &known, rng);
+            }
+            // Draining every pending body leaves nothing missing.
+            while let Some(block) = bodies.pop() {
+                let now = block.header.time;
+                chain.accept_block(block, now).unwrap();
+                assert_matches_walk(&chain, &known, rng);
+            }
+            assert_eq!(chain.missing_bodies().next(), None);
+            assert_eq!(chain.best_chain(), source.best_chain());
+        });
+    }
 
     fn extend(chain: &mut ChainStore, tip: BlockHash, n: usize, salt: u64) -> Vec<BlockHash> {
         let mut prev = tip;
@@ -503,9 +698,7 @@ mod tests {
         // A peer at height 10 asks with its locator.
         let mut behind = ChainStore::new(Network::Regtest);
         // Replay first 10 blocks from the main chain.
-        let mut hashes = chain.best_chain_hashes();
-        hashes.reverse();
-        for hash in &hashes[1..11] {
+        for hash in &chain.best_chain()[1..11] {
             let block = chain.block(hash).unwrap().clone();
             let now = block.header.time;
             behind.accept_block(block, now).unwrap();

@@ -884,7 +884,7 @@ mod tests {
         // The tx must appear in some block on the best chain of node 0.
         let chain = net.node(NodeId(0)).chain();
         let mined = chain
-            .best_chain_hashes()
+            .best_chain()
             .iter()
             .filter_map(|h| chain.block(h))
             .any(|b| b.txdata.iter().any(|t| t.txid() == txid));

@@ -326,6 +326,7 @@ impl FullNode {
                 // the sender has more: ask again from the new locator.
                 let full_batch = headers.len() >= MAX_HEADERS_PER_MSG;
                 let mut fetch = Vec::new();
+                let mut queued = HashSet::new();
                 for header in headers {
                     let hash = header.block_hash();
                     let newly = self.chain.accept_header(header, now_unix).unwrap_or(false);
@@ -336,7 +337,7 @@ impl FullNode {
                     let known = newly || self.chain.header(&hash).is_some();
                     if known && !self.chain.has_block(&hash) {
                         let item = Inventory::Block(hash);
-                        if !fetch.contains(&item) {
+                        if queued.insert(item) {
                             self.seen_inv.insert(item);
                             fetch.push(item);
                         }

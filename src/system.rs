@@ -662,10 +662,10 @@ impl System {
                 );
             }
             let chain = self.btc.node(icbtc_btcnet::NodeId(0)).chain();
-            for hash in chain.best_chain_hashes() {
-                let Some(block) = chain.block(&hash) else { continue };
+            for hash in chain.best_chain().iter().rev() {
+                let Some(block) = chain.block(hash) else { continue };
                 if block.txdata.iter().any(|t| t.txid() == txid) {
-                    return chain.header(&hash).map(|s| s.height);
+                    return chain.header(hash).map(|s| s.height);
                 }
             }
         }
