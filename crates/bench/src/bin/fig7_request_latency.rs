@@ -44,26 +44,14 @@ fn main() {
 
     // Queries: one pair per address (cheap).
     for (address, count) in &addresses {
-        let (_, _, latency) = subnet.query(
-            |canister, meter| {
-                canister.query(
-                    &CanisterCall::GetBalance { address: *address, min_confirmations: 0 },
-                    meter,
-                )
-            },
-            |_| 16,
-        );
+        let (_, _, latency) = subnet.query(|canister, meter| {
+            let call = CanisterCall::GetBalance { address: *address, min_confirmations: 0 };
+            canister.query(&call, meter)
+        });
         query_balance.record(latency.as_secs_f64());
-        let (outcome, _, latency) = subnet.query(
-            |canister, meter| {
-                canister.query(&CanisterCall::GetUtxos { address: *address, filter: None }, meter)
-            },
-            |outcome| match &outcome.reply {
-                Ok(icbtc::canister::CanisterReply::Utxos(r)) => 64 + r.utxos.len() * 48,
-                _ => 32,
-            },
-        );
-        let _ = outcome;
+        let (_, _, latency) = subnet.query(|canister, meter| {
+            canister.query(&CanisterCall::GetUtxos { address: *address, filter: None }, meter)
+        });
         query_utxos.record(latency.as_secs_f64());
         latency_vs_count.push(*count as f64, latency.as_secs_f64());
     }

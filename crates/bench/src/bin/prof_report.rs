@@ -103,7 +103,7 @@ fn main() {
             2 => CanisterCall::GetUtxos { address, filter: None },
             _ => CanisterCall::GetFeePercentiles,
         };
-        system.query_cached(call);
+        system.query(call);
     }
 
     let report = system.profile_report(args.top);

@@ -15,7 +15,7 @@ use icbtc_ic::Meter;
 
 use crate::metering;
 use crate::state::BitcoinCanisterState;
-use crate::utxoset::Utxo;
+use crate::utxoset::{Utxo, UtxoSet};
 
 /// Maximum UTXOs returned per `get_utxos` page — the production
 /// canister's response cap. The largest first page therefore costs
@@ -216,6 +216,25 @@ struct UnstableOverlay<'a> {
     tip_height: u64,
 }
 
+impl UnstableOverlay<'_> {
+    /// The address's merged stable+unstable view in pagination order,
+    /// strictly after `cursor`: the created entries, then the stable
+    /// range scan with entries spent in the considered blocks masked out.
+    /// The one read primitive behind both `get_balance` and
+    /// `get_utxos_paged`; callers charge per entry they consume.
+    fn utxos_after<'s>(
+        &'s self,
+        stable: &'s UtxoSet,
+        address: &Address,
+        cursor: Option<(u64, OutPoint)>,
+    ) -> impl Iterator<Item = Utxo> + 's {
+        let created = self.created.iter().filter(move |u| after_cursor(u, cursor)).cloned();
+        let stable =
+            stable.utxos_after(address, cursor).filter(|u| !is_spent(&self.spent, &u.outpoint));
+        created.chain(stable)
+    }
+}
+
 /// Whether any considered block spends `outpoint`.
 fn is_spent(spent: &[&BTreeSet<OutPoint>], outpoint: &OutPoint) -> bool {
     spent.iter().any(|set| set.contains(outpoint))
@@ -337,14 +356,9 @@ impl BitcoinCanisterState {
         };
 
         let scan = meter.frame("range_scan");
-        let created = overlay.created.iter().filter(|u| after_cursor(u, cursor)).cloned();
-        let stable = self
-            .utxos()
-            .utxos_after(address, cursor)
-            .filter(|u| !is_spent(&overlay.spent, &u.outpoint));
         let mut page = Vec::new();
         let mut more = false;
-        for utxo in created.chain(stable) {
+        for utxo in overlay.utxos_after(self.utxos(), address, cursor) {
             if page.len() == page_size {
                 more = true;
                 break;
@@ -409,25 +423,18 @@ impl BitcoinCanisterState {
         meter.frame_end(overlay_frame);
         // Saturating accumulation: the canister does not validate
         // issuance (§III-C), so a hostile chain of max-value outputs
-        // must clamp at MAX_MONEY, not panic the query.
+        // must clamp at MAX_MONEY, not panic the query. The clamped sum
+        // does not depend on the order entries arrive in.
         let scan = meter.frame("range_scan");
-        let stable = self
-            .utxos()
-            .utxos_after(address, None)
-            .filter(|u| !is_spent(&overlay.spent, &u.outpoint))
-            .fold(Amount::ZERO, |total, u| {
+        let entries = overlay.utxos_after(self.utxos(), address, None);
+        let balance = entries.fold(Amount::ZERO, |total, u| {
+            if u.height <= self.anchor_height() {
                 meter.charge(metering::STABLE_BALANCE_ENTRY);
-                total.saturating_add(u.value)
-            });
+            }
+            total.saturating_add(u.value)
+        });
         meter.frame_end(scan);
-        let unstable = overlay
-            .created
-            .iter()
-            .fold(Amount::ZERO, |total, u| total.saturating_add(u.value));
-        Ok(GetBalanceResponse {
-            balance: stable.saturating_add(unstable),
-            tip_height: overlay.tip_height,
-        })
+        Ok(GetBalanceResponse { balance, tip_height: overlay.tip_height })
     }
 
     /// `send_transaction`: checks that `bytes` encode a syntactically
@@ -615,6 +622,89 @@ mod tests {
             state.get_balance(&addr(7), 4, &mut Meter::new()),
             Err(ApiError::MinConfirmationsTooLarge { requested: 4, maximum: 3 })
         );
+    }
+
+    /// Builds a state from one block per entry of `payments`. A non-empty
+    /// entry adds one transaction paying `(address byte, sats)` outputs;
+    /// every coinbase pays an `OP_RETURN`, so only the payments count.
+    fn state_with_payments(payments: &[&[(u8, u64)]], delta: u64) -> BitcoinCanisterState {
+        let mut chain = ChainStore::new(Network::Regtest);
+        let mut blocks = Vec::new();
+        for (i, outputs) in payments.iter().enumerate() {
+            let txs = if outputs.is_empty() {
+                Vec::new()
+            } else {
+                vec![Transaction {
+                    version: 2,
+                    inputs: vec![TxIn::new(OutPoint::new(Txid([9; 32]), i as u32))],
+                    outputs: outputs
+                        .iter()
+                        .map(|(n, sats)| {
+                            TxOut::new(Amount::from_sat(*sats), addr(*n).script_pubkey())
+                        })
+                        .collect(),
+                    lock_time: 0,
+                }]
+            };
+            let block =
+                mine_block_on(&chain, chain.tip_hash(), txs, Script::new_op_return(b"m"), i as u64);
+            chain.accept_block(block.clone(), NOW).unwrap();
+            blocks.push(block);
+        }
+        let mut state = BitcoinCanisterState::new(params(delta));
+        state.process_response(
+            GetSuccessorsResponse { blocks, next: Vec::new() },
+            NOW,
+            &mut Meter::new(),
+        );
+        state
+    }
+
+    #[test]
+    fn balance_saturates_instead_of_overflowing() {
+        // A hostile chain can mint outputs summing past MAX_MONEY — the
+        // canister does not validate issuance (§III-C). Near-max outputs
+        // sit both below the anchor and in the unstable tip block, so the
+        // clamp has to hold across the merged stable+unstable fold.
+        let near_max = Amount::MAX_MONEY.to_sat() - 100;
+        let state =
+            state_with_payments(&[&[(7, near_max), (7, 50)], &[], &[], &[], &[(7, near_max)]], 2);
+        assert!((1..5).contains(&state.anchor_height()), "payment 1 stable, payment 2 not");
+        // Without the tip block the stable part alone does not clamp…
+        let stable = state.get_balance(&addr(7), 2, &mut Meter::new()).unwrap();
+        assert_eq!(stable.balance.to_sat(), near_max + 50);
+        // …with it the sum does, instead of overflowing.
+        let merged = state.get_balance(&addr(7), 0, &mut Meter::new()).unwrap();
+        assert_eq!(merged.balance, Amount::MAX_MONEY);
+    }
+
+    #[test]
+    fn balance_charges_per_index_entry_not_per_fetch() {
+        // Three stable outputs and one in the unstable tip block.
+        let state =
+            state_with_payments(&[&[(7, 10), (7, 20), (7, 30)], &[], &[], &[], &[(7, 40)]], 2);
+        assert!((1..5).contains(&state.anchor_height()));
+        let balance_cost = |n: u8| {
+            let mut meter = Meter::new();
+            state.get_balance(&addr(n), 0, &mut meter).unwrap();
+            meter.instructions()
+        };
+        let page_cost = |n: u8| {
+            let mut meter = Meter::new();
+            state.get_utxos(&addr(n), None, &mut meter).unwrap();
+            meter.instructions()
+        };
+        let balance = state.get_balance(&addr(7), 0, &mut Meter::new()).unwrap();
+        assert_eq!(balance.balance.to_sat(), 100);
+        // An address with no UTXOs pays the same base and block scans, so
+        // the difference is exactly the per-entry charges: the balance
+        // fold charges each stable entry the cheaper index rate, the
+        // unstable entry only its overlay fetch.
+        let unstable = metering::UNSTABLE_UTXO_FETCH;
+        let (entry, fetch) = (metering::STABLE_BALANCE_ENTRY, metering::STABLE_UTXO_FETCH);
+        assert_eq!(balance_cost(7) - balance_cost(200), unstable + 3 * entry);
+        assert_eq!(page_cost(7) - page_cost(200), unstable + 3 * fetch);
+        assert!(balance_cost(7) < page_cost(7));
     }
 
     #[test]

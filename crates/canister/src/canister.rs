@@ -406,7 +406,9 @@ impl BitcoinCanister {
 
     /// Executes a call in *query* mode (single replica, read-only).
     /// `SendTransaction` is rejected in query mode — writes must be
-    /// replicated.
+    /// replicated. This is the pure reference read: it touches no
+    /// node-local state, so replicated dispatch shares it and the query
+    /// cache is checked against it.
     pub fn query(&self, call: &CanisterCall, meter: &mut Meter) -> CallOutcome {
         let reply = match call {
             CanisterCall::SendTransaction { .. } => Err(ApiError::MalformedTransaction),
@@ -438,17 +440,15 @@ impl BitcoinCanister {
 
     /// Executes a call in query mode through the tip-keyed query cache.
     ///
+    /// This is the serving path of both query entry points: the batched
+    /// plane ([`StateMachine::execute_query`]) and the direct
+    /// `Subnet::query` that `System::query` uses.
     /// Replies are byte-identical to [`BitcoinCanister::query`] — only
     /// the metered cost differs: a hit charges the probe
     /// ([`metering::QUERY_CACHE_LOOKUP`]) plus a per-byte copy of the
-    /// reply that was serialized once at insert
+    /// reply's serialized size, recorded once at insert
     /// ([`metering::QUERY_CACHE_COPY_PER_BYTE`]), instead of the full
-    /// state walk. The hit path used to re-serialize the cached reply on
-    /// every call for a flat [`metering::QUERY_CACHE_HIT`]; profiling
-    /// attributed most of that to serialization, so the serialized size
-    /// is now computed once at cache fill and hits pay only the copy
-    /// (see BENCH_qps.json's `hot_path` record for the before/after).
-    /// Safety against staleness is two-fold: every key embeds the tip
+    /// state walk. Safety against staleness is two-fold: every key embeds the tip
     /// hash the response was computed at, and
     /// [`BitcoinCanister::ingest_response`] wholesale-invalidates the
     /// cache, so a response from a superseded tip can never be served.

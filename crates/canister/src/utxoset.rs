@@ -300,14 +300,6 @@ impl UtxoSet {
         }
     }
 
-    /// All UTXOs of `address`, sorted by height descending (then
-    /// outpoint), charging per fetched entry.
-    pub fn utxos_of(&self, address: &Address, meter: &mut Meter) -> Vec<Utxo> {
-        self.utxos_after(address, None)
-            .inspect(|_| meter.charge(metering::STABLE_UTXO_FETCH))
-            .collect()
-    }
-
     /// Iterates `address`'s UTXOs in pagination order (height descending,
     /// then outpoint), starting strictly *after* the `(height, outpoint)`
     /// cursor if one is given. The walk is a B-tree range scan: reaching
@@ -337,19 +329,6 @@ impl UtxoSet {
                 let (height, outpoint) = codec::decode_index_key_suffix(key);
                 Utxo { outpoint, value: codec::decode_amount_value(value), height }
             })
-    }
-
-    /// Balance of `address` from the stable set alone, summed directly
-    /// over the address index — no `TxOut` is cloned or even looked up,
-    /// so each entry is charged the cheaper
-    /// [`metering::STABLE_BALANCE_ENTRY`] rate. Accumulation saturates at
-    /// [`Amount::MAX_MONEY`]: a hostile chain of max-value outputs clamps
-    /// instead of overflowing.
-    pub fn balance(&self, address: &Address, meter: &mut Meter) -> Amount {
-        self.utxos_after(address, None).fold(Amount::ZERO, |total, utxo| {
-            meter.charge(metering::STABLE_BALANCE_ENTRY);
-            total.saturating_add(utxo.value)
-        })
     }
 
     /// Number of distinct addresses indexed. O(index size) — the engine
@@ -539,6 +518,14 @@ mod tests {
         (UtxoSet::new(Network::Regtest), Meter::new(), MeterBreakdown::new())
     }
 
+    fn utxos_of(set: &UtxoSet, n: u8) -> Vec<Utxo> {
+        set.utxos_after(&addr(n), None).collect()
+    }
+
+    fn balance(set: &UtxoSet, n: u8) -> Amount {
+        set.utxos_after(&addr(n), None).fold(Amount::ZERO, |total, u| total.saturating_add(u.value))
+    }
+
     #[test]
     fn ingest_coinbase_creates_utxos() {
         let (mut set, mut meter, mut breakdown) = fresh();
@@ -546,7 +533,7 @@ mod tests {
         set.ingest_block(std::slice::from_ref(&coinbase), 0, &mut meter, &mut breakdown);
         assert_eq!(set.len(), 1);
         assert_eq!(set.next_height(), 1);
-        assert_eq!(set.balance(&addr(1), &mut Meter::new()), Amount::from_sat(5000));
+        assert_eq!(balance(&set, 1), Amount::from_sat(5000));
         let utxo = set.get(&OutPoint::new(coinbase.txid(), 0)).unwrap();
         assert_eq!(utxo.height, 0);
         assert!(meter.instructions() > 0);
@@ -563,8 +550,8 @@ mod tests {
         let spend = pay_tx(Some(OutPoint::new(coinbase.txid(), 0)), &[(2, 3000), (1, 1900)]);
         set.ingest_block(&[spend], 1, &mut meter, &mut breakdown);
         assert_eq!(set.len(), 2);
-        assert_eq!(set.balance(&addr(2), &mut Meter::new()), Amount::from_sat(3000));
-        assert_eq!(set.balance(&addr(1), &mut Meter::new()), Amount::from_sat(1900));
+        assert_eq!(balance(&set, 2), Amount::from_sat(3000));
+        assert_eq!(balance(&set, 1), Amount::from_sat(1900));
         assert!(breakdown.get("input_removal") > 0);
     }
 
@@ -575,7 +562,7 @@ mod tests {
             let tx = pay_tx(None, &[(7, 100 + height)]);
             set.ingest_block(&[tx], height, &mut meter, &mut breakdown);
         }
-        let utxos = set.utxos_of(&addr(7), &mut Meter::new());
+        let utxos = utxos_of(&set, 7);
         assert_eq!(utxos.len(), 5);
         let heights: Vec<u64> = utxos.iter().map(|u| u.height).collect();
         assert_eq!(heights, vec![4, 3, 2, 1, 0]);
@@ -602,32 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn balance_charges_per_index_entry_not_per_fetch() {
-        let (mut set, mut meter, mut breakdown) = fresh();
-        let tx = pay_tx(None, &[(7, 10), (7, 20), (7, 30)]);
-        set.ingest_block(&[tx], 0, &mut meter, &mut breakdown);
-        let mut balance_meter = Meter::new();
-        assert_eq!(set.balance(&addr(7), &mut balance_meter), Amount::from_sat(60));
-        assert_eq!(balance_meter.instructions(), 3 * metering::STABLE_BALANCE_ENTRY);
-        let mut fetch_meter = Meter::new();
-        let _ = set.utxos_of(&addr(7), &mut fetch_meter);
-        assert!(balance_meter.instructions() < fetch_meter.instructions());
-    }
-
-    #[test]
-    fn balance_saturates_instead_of_overflowing() {
-        // A hostile chain can mint outputs summing past MAX_MONEY — the
-        // set does not validate issuance (§III-C). The old `.sum()`
-        // accumulator panicked here; saturating accumulation clamps.
-        let (mut set, mut meter, mut breakdown) = fresh();
-        let near_max = Amount::MAX_MONEY.to_sat() - 10;
-        let tx = pay_tx(None, &[(7, near_max), (7, near_max), (7, 25)]);
-        set.ingest_block(&[tx], 0, &mut meter, &mut breakdown);
-        let balance = set.balance(&addr(7), &mut Meter::new());
-        assert_eq!(balance, Amount::MAX_MONEY);
-    }
-
-    #[test]
     fn duplicate_outpoint_reinsert_evicts_stale_index_entry() {
         // Pre-BIP34, two coinbase transactions could be byte-identical
         // and thus share a txid: the later one overwrites the earlier
@@ -642,17 +603,17 @@ mod tests {
 
         assert_eq!(set.len(), 1, "one outpoint, not two");
         assert_eq!(
-            set.balance(&addr(1), &mut Meter::new()),
+            balance(&set, 1),
             Amount::from_sat(5000),
             "balance must not double-count the re-inserted outpoint"
         );
-        let utxos = set.utxos_of(&addr(1), &mut Meter::new());
+        let utxos = utxos_of(&set, 1);
         assert_eq!(utxos.len(), 1, "pagination must see exactly one entry");
         assert_eq!(utxos[0].height, 1, "the re-insert wins");
         // Spending it once empties the whole index.
         let spend = pay_tx(Some(OutPoint::new(coinbase.txid(), 0)), &[(2, 4000)]);
         set.ingest_block(&[spend], 2, &mut meter, &mut breakdown);
-        assert_eq!(set.balance(&addr(1), &mut Meter::new()), Amount::ZERO);
+        assert_eq!(balance(&set, 1), Amount::ZERO);
         assert_eq!(set.address_count(), 1);
     }
 
@@ -667,8 +628,8 @@ mod tests {
         // layer): the old address must lose its entry.
         let replacement = TxOut::new(Amount::from_sat(7000), addr(2).script_pubkey());
         set.insert(outpoint, &replacement, 1, &mut meter, &mut breakdown).unwrap();
-        assert_eq!(set.balance(&addr(1), &mut Meter::new()), Amount::ZERO);
-        assert_eq!(set.balance(&addr(2), &mut Meter::new()), Amount::from_sat(7000));
+        assert_eq!(balance(&set, 1), Amount::ZERO);
+        assert_eq!(balance(&set, 2), Amount::from_sat(7000));
         assert_eq!(set.len(), 1);
     }
 
@@ -826,8 +787,8 @@ mod tests {
         assert_eq!(restored.network(), set.network());
         for n in 0..5u8 {
             assert_eq!(
-                restored.utxos_of(&addr(n), &mut Meter::new()),
-                set.utxos_of(&addr(n), &mut Meter::new()),
+                utxos_of(&restored, n),
+                utxos_of(&set, n),
                 "address {n}"
             );
         }

@@ -209,17 +209,6 @@ impl LatencyModel {
             self.query_tail_multiplier,
         )
     }
-
-    /// End-to-end latency of a query call that executed `instructions`
-    /// and returned `response_bytes`.
-    pub fn sample_query(
-        &self,
-        rng: &mut SimRng,
-        instructions: u64,
-        response_bytes: usize,
-    ) -> SimDuration {
-        self.sample_query_rtt(rng) + self.execution_time(instructions) + self.transfer_time(response_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -261,9 +250,15 @@ mod tests {
         let mut balance = icbtc_sim::metrics::Histogram::new();
         // get_utxos-like: tens of M instructions, tens of kB responses.
         let mut utxos = icbtc_sim::metrics::Histogram::new();
+        // End to end, as `Subnet::query` composes it: round trip, then
+        // execution and response transfer.
+        let mut sample = |instructions, bytes| {
+            let rtt = model.sample_query_rtt(&mut rng);
+            (rtt + model.execution_time(instructions) + model.transfer_time(bytes)).as_secs_f64()
+        };
         for _ in 0..4000 {
-            balance.record(model.sample_query(&mut rng, 6_000_000, 100).as_secs_f64());
-            utxos.record(model.sample_query(&mut rng, 40_000_000, 300_000).as_secs_f64());
+            balance.record(sample(6_000_000, 100));
+            utxos.record(sample(40_000_000, 300_000));
         }
         let balance_median = balance.median();
         let utxos_median = utxos.median();

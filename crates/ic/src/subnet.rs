@@ -540,19 +540,7 @@ impl<S: StateMachine> Subnet<S> {
             self.obs.metrics.inc("ic_queries_executed_total");
             self.obs.metrics.add("ic_query_instructions_total", instructions);
             self.obs.metrics.observe("ic_query_instructions", instructions);
-            let exec_time = self.latency.execution_time(instructions);
-            let transfer_time = self.latency.transfer_time(S::output_bytes(&output));
-            let service = exec_time + transfer_time;
-            // Modeled query service time (nanoseconds), split into its
-            // execution and response-transfer parts.
-            let frame = self.obs.prof.enter("query_service");
-            let exec_frame = self.obs.prof.enter("execution");
-            self.obs.prof.add(exec_time.as_nanos());
-            self.obs.prof.exit(exec_frame);
-            let transfer_frame = self.obs.prof.enter("transfer");
-            self.obs.prof.add(transfer_time.as_nanos());
-            self.obs.prof.exit(transfer_frame);
-            self.obs.prof.exit(frame);
+            let service = self.query_service(instructions, &output);
             let lane = (0..self.query_lanes.len())
                 .min_by_key(|&lane| self.query_lanes[lane])
                 .unwrap_or(0);
@@ -588,32 +576,29 @@ impl<S: StateMachine> Subnet<S> {
     }
 
     /// Runs a query against the current state on a single replica,
-    /// returning the result, the instructions executed, and the sampled
-    /// end-to-end latency for a response of `response_bytes(output)` bytes.
-    pub fn query<R>(
+    /// returning the output, the instructions executed, and the sampled
+    /// end-to-end latency. The state is mutable for query paths that keep
+    /// node-local state such as a query cache; the call still bypasses
+    /// consensus entirely. Service time is attributed exactly as for a
+    /// batched query.
+    pub fn query(
         &mut self,
-        run: impl FnOnce(&S, &mut Meter) -> R,
-        response_bytes: impl FnOnce(&R) -> usize,
-    ) -> (R, u64, icbtc_sim::SimDuration) {
-        self.query_mut(move |state, meter| run(state, meter), response_bytes)
+        run: impl FnOnce(&mut S, &mut Meter) -> S::Output,
+    ) -> (S::Output, u64, SimDuration) {
+        let mut meter = Meter::new();
+        let output = run(&mut self.state, &mut meter);
+        let instructions = meter.take();
+        let service = self.query_service(instructions, &output);
+        let latency = self.latency.sample_query_rtt(&mut self.rng) + service;
+        (output, instructions, latency)
     }
 
-    /// Like [`Subnet::query`], but with mutable state access — for query
-    /// paths that maintain non-replicated node-local state such as a query
-    /// cache. Still bypasses consensus entirely.
-    pub fn query_mut<R>(
-        &mut self,
-        run: impl FnOnce(&mut S, &mut Meter) -> R,
-        response_bytes: impl FnOnce(&R) -> usize,
-    ) -> (R, u64, icbtc_sim::SimDuration) {
-        let mut meter = Meter::new();
-        let result = run(&mut self.state, &mut meter);
-        let instructions = meter.take();
-        let bytes = response_bytes(&result);
-        // Same service-time attribution as the batched query plane:
-        // modeled execution plus response transfer, in nanoseconds.
+    /// Modeled service time of one query: execution of `instructions`
+    /// plus transfer of the output's wire size. Attributes both parts, in
+    /// nanoseconds, to the subnet profiler's `query_service` frame.
+    fn query_service(&mut self, instructions: u64, output: &S::Output) -> SimDuration {
         let exec_time = self.latency.execution_time(instructions);
-        let transfer_time = self.latency.transfer_time(bytes);
+        let transfer_time = self.latency.transfer_time(S::output_bytes(output));
         let frame = self.obs.prof.enter("query_service");
         let exec_frame = self.obs.prof.enter("execution");
         self.obs.prof.add(exec_time.as_nanos());
@@ -622,8 +607,7 @@ impl<S: StateMachine> Subnet<S> {
         self.obs.prof.add(transfer_time.as_nanos());
         self.obs.prof.exit(transfer_frame);
         self.obs.prof.exit(frame);
-        let latency = self.latency.sample_query(&mut self.rng, instructions, bytes);
-        (result, instructions, latency)
+        exec_time + transfer_time
     }
 }
 
@@ -733,18 +717,52 @@ mod tests {
     fn queries_do_not_touch_consensus() {
         let mut subnet = subnet(5);
         let round_before = subnet.consensus().round();
-        let (result, instructions, latency) = subnet.query(
-            |state, meter| {
-                meter.charge(1000);
-                state.total
-            },
-            |_| 8,
-        );
+        let (result, instructions, latency) = subnet.query(|state, meter| {
+            meter.charge(1000);
+            state.total
+        });
         assert_eq!(result, 0);
         assert_eq!(instructions, 1000);
         assert!(latency > icbtc_sim::SimDuration::ZERO);
         assert_eq!(subnet.consensus().round(), round_before);
         assert_eq!(subnet.total_instructions(), 0, "queries are not replicated work");
+    }
+
+    #[test]
+    fn direct_and_batched_queries_attribute_service_time_alike() {
+        let service_totals = |subnet: &Subnet<Adder>| -> Vec<(String, u64)> {
+            subnet
+                .obs()
+                .prof
+                .frames()
+                .into_iter()
+                .filter(|frame| frame.path.starts_with("query_service;"))
+                .map(|frame| (frame.path, frame.total_units))
+                .collect()
+        };
+
+        let mut direct = subnet(13);
+        let (_, direct_instructions, _) = direct.query(|state, meter| {
+            let mut ctx = ExecutionContext { meter, now: SimTime::ZERO, round: 0 };
+            state.execute_query(7, &mut ctx)
+        });
+
+        let mut batched = subnet(13);
+        batched.submit_query(7);
+        let mut results = Vec::new();
+        while results.is_empty() {
+            results = batched.execute_round(|_, _| {}).query_results;
+        }
+
+        assert_eq!(direct_instructions, 700);
+        assert_eq!(results[0].instructions, direct_instructions);
+        let totals = service_totals(&direct);
+        assert_eq!(
+            totals.iter().map(|(path, _)| path.as_str()).collect::<Vec<_>>(),
+            ["query_service;execution", "query_service;transfer"]
+        );
+        assert!(totals.iter().all(|(_, units)| *units > 0), "{totals:?}");
+        assert_eq!(totals, service_totals(&batched));
     }
 
     #[test]

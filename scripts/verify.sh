@@ -49,7 +49,7 @@ qps_report_checks() {
     require "$OBS_TMP/qps1.json" '"schema_version": 1' "qps report is missing schema_version 1"
     require BENCH_qps.json '"schema_version": 1' "committed BENCH_qps.json is missing schema_version 1"
     require BENCH_qps.json '"hot_path"' "committed BENCH_qps.json is missing the hot_path section"
-    echo "==> perf trajectory gate (fresh qps report inside tolerance of committed baseline)"
+    echo "==> perf trajectory gate (fresh qps report equals committed baseline)"
     scripts/perfdiff.sh "$OBS_TMP/qps1.json" BENCH_qps_gate.json
 }
 
@@ -126,7 +126,7 @@ GATES=(
     'utxo{}.json=same-flags storage reports differ:
      utxo_metrics{}.json=same-flags storage metrics snapshots differ:'
     'soak_report_checks utxo storage \
-        "storage perf trajectory gate (fresh utxo report inside tolerance of committed baseline)"'
+        "storage perf trajectory gate (fresh utxo report equals committed baseline)"'
 
     'recovery determinism gate (same flags => byte-identical lifecycle soak)'
     'cargo run -q --release --offline -p icbtc-bench --bin recovery_soak -- \
@@ -136,7 +136,7 @@ GATES=(
     'recovery{}.json=same-flags recovery reports differ:
      recovery_metrics{}.json=same-flags recovery metrics snapshots differ:'
     'soak_report_checks recovery recovery \
-        "recovery trajectory gate (fresh lifecycle soak inside tolerance of committed baseline)"'
+        "recovery trajectory gate (fresh lifecycle soak equals committed baseline)"'
 )
 
 for ((gate = 0; gate < ${#GATES[@]}; gate += 4)); do

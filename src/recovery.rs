@@ -131,25 +131,33 @@ pub fn replay_catchup(
     let mut replayed_rounds = 0;
     for record in log.iter().filter(|r| r.round > checkpoint.round) {
         replayed_rounds += 1;
-        let mut meter = Meter::new();
-        let mut ctx =
-            ExecutionContext { meter: &mut meter, now: record.finalized_at, round: record.round };
-        canister.ingest_response(record.response.clone(), record.now_unix, &mut ctx);
-        instructions += meter.take();
-        for entry in journal.iter().filter(|e| e.round == record.round) {
-            for input in &entry.inputs {
-                let mut meter = Meter::new();
-                let mut ctx = ExecutionContext {
-                    meter: &mut meter,
-                    now: entry.finalized_at,
-                    round: entry.round,
-                };
-                canister.execute(input.clone(), &mut ctx);
-                instructions += meter.take();
-            }
-        }
+        instructions += replay_round(&mut canister, record, journal);
     }
     Ok((canister, replayed_rounds, instructions))
+}
+
+/// Re-executes one finalized round on `canister` in consensus order: the
+/// round's adapter response (Algorithm 2), then the round's journaled
+/// ingress inputs. Each runs under a fresh meter, mirroring the live
+/// subnet's per-message metering, so a replica replaying the same rounds
+/// tracks the live canister's instruction counters. Returns the
+/// instructions spent.
+pub(crate) fn replay_round(
+    canister: &mut BitcoinCanister,
+    record: &IngestRecord,
+    journal: &[JournalRound<CanisterCall>],
+) -> u64 {
+    let (now, round) = (record.finalized_at, record.round);
+    let mut meter = Meter::new();
+    let mut ctx = ExecutionContext { meter: &mut meter, now, round };
+    canister.ingest_response(record.response.clone(), record.now_unix, &mut ctx);
+    let mut instructions = meter.take();
+    for input in journal.iter().filter(|e| e.round == round).flat_map(|e| &e.inputs) {
+        let mut meter = Meter::new();
+        canister.execute(input.clone(), &mut ExecutionContext { meter: &mut meter, now, round });
+        instructions += meter.take();
+    }
+    instructions
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use icbtc_canister::{BitcoinCanister, CallOutcome, CanisterCall};
 use icbtc_core::{GetSuccessorsResponse, IntegrationParams};
 use icbtc_ic::consensus::ConsensusConfig;
 use icbtc_ic::subnet::Subnet;
-use icbtc_ic::{LifecyclePlan, Meter};
+use icbtc_ic::LifecyclePlan;
 use icbtc_sim::obs::FieldValue;
 use icbtc_sim::{SimDuration, SimRng, SimTime};
 use icbtc_tecdsa::ecdsa::Signature;
@@ -352,7 +352,11 @@ impl System {
                 now_unix,
                 response,
             };
-            self.replay_on_shadow(&record);
+            // Re-execute the round on the shadow replica. Its ingress
+            // batch is still in the journal: pruning happens after.
+            if let Some(shadow) = self.shadow.as_mut() {
+                crate::recovery::replay_round(shadow, &record, self.subnet.input_journal());
+            }
             if !self.plan.crashes.is_empty() {
                 self.ingest_log.push(record);
             }
@@ -403,40 +407,6 @@ impl System {
     // icbtc-lint: node-local -- the shadow replica is a divergence detector, not part of replicated state
     pub fn shadow_state_hash(&self) -> Option<[u8; 32]> {
         self.shadow.as_ref().map(|shadow| shadow.state_hash())
-    }
-
-    /// Re-executes one finalized round on the shadow replica: the same
-    /// adapter response, then the same ingress batch (still in the
-    /// journal — pruning happens after). Metering is per-message with a
-    /// fresh meter, exactly like the live subnet, so the shadow's
-    /// instruction counters track the live canister's.
-    fn replay_on_shadow(&mut self, record: &IngestRecord) {
-        let Some(mut shadow) = self.shadow.take() else { return };
-        let mut meter = Meter::new();
-        let mut ctx = icbtc_ic::ExecutionContext {
-            meter: &mut meter,
-            now: record.finalized_at,
-            round: record.round,
-        };
-        shadow.ingest_response(record.response.clone(), record.now_unix, &mut ctx);
-        use icbtc_ic::StateMachine;
-        let inputs: Vec<CanisterCall> = self
-            .subnet
-            .input_journal()
-            .iter()
-            .filter(|entry| entry.round == record.round)
-            .flat_map(|entry| entry.inputs.iter().cloned())
-            .collect();
-        for input in inputs {
-            let mut meter = Meter::new();
-            let mut ctx = icbtc_ic::ExecutionContext {
-                meter: &mut meter,
-                now: record.finalized_at,
-                round: record.round,
-            };
-            shadow.execute(input, &mut ctx);
-        }
-        self.shadow = Some(shadow);
     }
 
     /// Fires the plan's events scheduled after `round`, runs the per-round
@@ -609,23 +579,12 @@ impl System {
         }
     }
 
-    /// Issues a query (single-replica, non-certified) call.
+    /// Issues a query (single-replica, non-certified) call. It is served
+    /// through the canister's tip-keyed query cache, like a batched
+    /// query, so the metered instructions include the cache probe.
     pub fn query(&mut self, call: CanisterCall) -> QueryOutcome {
-        let (outcome, instructions, latency) = self.subnet.query(
-            |canister, meter| canister.query(&call, meter),
-            estimate_response_bytes,
-        );
-        QueryOutcome { outcome, latency, instructions }
-    }
-
-    /// Issues a query through the serving replica's tip-keyed query
-    /// cache. Replies are identical to [`System::query`]; repeated calls
-    /// at an unchanged tip are served at the flat cache-hit cost.
-    pub fn query_cached(&mut self, call: CanisterCall) -> QueryOutcome {
-        let (outcome, instructions, latency) = self.subnet.query_mut(
-            |canister, meter| canister.query_cached(&call, meter),
-            estimate_response_bytes,
-        );
+        let (outcome, instructions, latency) =
+            self.subnet.query(|canister, meter| canister.query_cached(&call, meter));
         QueryOutcome { outcome, latency, instructions }
     }
 
@@ -720,16 +679,6 @@ fn corruption_transaction(round: u64) -> Transaction {
         inputs: vec![TxIn::new(OutPoint::new(Txid([0xC0; 32]), round as u32))],
         outputs: vec![TxOut::new(Amount::from_sat(1), Script::new_op_return(b"corrupt"))],
         lock_time: round as u32,
-    }
-}
-
-/// Rough serialized size of a canister reply, for the query latency
-/// model's transfer term.
-fn estimate_response_bytes(outcome: &CallOutcome) -> usize {
-    // Single source of truth with the query cache's per-byte accounting.
-    match &outcome.reply {
-        Ok(reply) => reply.serialized_size() as usize,
-        Err(_) => 32,
     }
 }
 

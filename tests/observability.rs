@@ -119,7 +119,7 @@ fn run_profiled(seed: u64) -> System {
     system.fund_address(&address, 8);
     assert!(system.sync_canister(5000), "canister failed to sync");
     for _ in 0..3 {
-        system.query_cached(CanisterCall::GetBalance { address, min_confirmations: 0 });
+        system.query(CanisterCall::GetBalance { address, min_confirmations: 0 });
     }
     system
 }

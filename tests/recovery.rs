@@ -176,8 +176,8 @@ fn post_restore_query_cache_never_serves_stale_replies() {
     assert!(system.sync_canister(4000));
     let call = balance_call();
     // Prime the cache and take the baseline reply at this tip.
-    let before = system.query_cached(call.clone());
-    let primed = system.query_cached(call.clone());
+    let before = system.query(call.clone());
+    let primed = system.query(call.clone());
     assert_eq!(before.outcome.reply, primed.outcome.reply);
     assert!(
         primed.instructions < before.instructions,
@@ -189,14 +189,14 @@ fn post_restore_query_cache_never_serves_stale_replies() {
     assert!(report.state_hash_preserved);
     // The upgrade dropped the cache: nothing to serve from.
     assert_eq!(system.canister().query_cache().len(), 0, "upgrade must drop the query cache");
-    let after = system.query_cached(call.clone());
+    let after = system.query(call.clone());
     assert_eq!(after.outcome.reply, before.outcome.reply, "same tip, same answer");
     assert!(
         after.instructions >= before.instructions,
         "first post-upgrade query must recompute, not hit a stale cache"
     );
     // And the cache works again afterwards.
-    let warm = system.query_cached(call);
+    let warm = system.query(call);
     assert!(warm.instructions < after.instructions);
 }
 
